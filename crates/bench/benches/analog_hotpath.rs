@@ -309,9 +309,11 @@ fn per_sec(count: usize, ms: f64) -> f64 {
     count as f64 / (ms / 1e3)
 }
 
-/// Writes BENCH_analog.json next to the bench's working directory (the
-/// `simra-bench` package root under `cargo bench`); override the path
-/// with `BENCH_ANALOG_OUT`.
+/// Output file, relative to the bench's working directory (the
+/// `simra-bench` package root under `cargo bench`).
+const OUT: &str = "BENCH_analog.json";
+
+/// Writes the bench document to [`OUT`].
 fn write_analog_doc() {
     let (subarray, engine, rows) = rig();
     let kernel = time_kernels(&subarray, &engine, &rows);
@@ -371,13 +373,11 @@ fn write_analog_doc() {
         simra_telemetry::json::quote("analog_hotpath_bench"),
         simra_telemetry::json::quote("quick"),
     );
-    let path =
-        std::env::var("BENCH_ANALOG_OUT").unwrap_or_else(|_| "BENCH_analog.json".to_string());
-    std::fs::write(&path, &doc).expect("write BENCH_analog.json");
+    std::fs::write(OUT, &doc).expect("write BENCH_analog.json");
     eprintln!(
         "analog_hotpath: kernel scalar {:.3} / tiled {:.3} / batched {:.3} ms (per {} cols); \
          sense {} trials: scalar {:.3} / tiled {:.3} / batched {:.3} ms ({:.1}x); \
-         restore: reference {:.3} / railed {:.3} ms ({:.1}x) -> {path}",
+         restore: reference {:.3} / railed {:.3} ms ({:.1}x) -> {OUT}",
         kernel.scalar_ms,
         kernel.tiled_ms,
         kernel.batched_ms,

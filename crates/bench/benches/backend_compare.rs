@@ -12,8 +12,8 @@
 //!
 //! Besides the timed bodies, every run — including `--test` smoke
 //! runs — writes `BENCH_backend.json` with direct best-of-N wall-clock
-//! numbers per figure plus the overall speedup, so CI can archive the
-//! evidence for the ≥50× acceptance bar without parsing bench output.
+//! numbers per figure plus the overall speedup, so CI can check and
+//! archive them without parsing bench output.
 
 use simra_bench::timing::{best_of_ms, Bench};
 use simra_characterize::{
@@ -70,9 +70,11 @@ fn compare(figure: FigureFn) -> Comparison {
     }
 }
 
-/// Writes BENCH_backend.json next to the bench's working directory (the
-/// `simra-bench` package root under `cargo bench`); override the path
-/// with `BENCH_BACKEND_OUT`.
+/// Output file, relative to the bench's working directory (the
+/// `simra-bench` package root under `cargo bench`).
+const OUT: &str = "BENCH_backend.json";
+
+/// Writes the bench document to [`OUT`].
 fn write_backend_doc() {
     let mut entries = Vec::new();
     let mut analog_total = 0.0;
@@ -100,12 +102,10 @@ fn write_backend_doc() {
         surrogate_total,
         overall,
     );
-    let path =
-        std::env::var("BENCH_BACKEND_OUT").unwrap_or_else(|_| "BENCH_backend.json".to_string());
-    std::fs::write(&path, &doc).expect("write BENCH_backend.json");
+    std::fs::write(OUT, &doc).expect("write BENCH_backend.json");
     eprintln!(
         "backend_compare: analog {analog_total:.1} ms vs surrogate {surrogate_total:.1} ms \
-         ({overall:.1}x overall) -> {path}"
+         ({overall:.1}x overall) -> {OUT}"
     );
 }
 

@@ -119,9 +119,11 @@ fn measure(scale: &'static str) -> ScaleSavings {
     }
 }
 
-/// Writes BENCH_hybrid.json next to the bench's working directory (the
-/// `simra-bench` package root under `cargo bench`); override the path
-/// with `BENCH_HYBRID_OUT`.
+/// Output file, relative to the bench's working directory (the
+/// `simra-bench` package root under `cargo bench`).
+const OUT: &str = "BENCH_hybrid.json";
+
+/// Writes the bench document to [`OUT`].
 fn write_savings_doc() {
     let scales = [measure("quick"), measure("reduced")];
     let entries: Vec<String> = scales
@@ -151,13 +153,11 @@ fn write_savings_doc() {
         simra_telemetry::json::quote("hybrid_savings_bench"),
         entries.join(","),
     );
-    let path =
-        std::env::var("BENCH_HYBRID_OUT").unwrap_or_else(|_| "BENCH_hybrid.json".to_string());
-    std::fs::write(&path, &doc).expect("write BENCH_hybrid.json");
+    std::fs::write(OUT, &doc).expect("write BENCH_hybrid.json");
     for s in &scales {
         eprintln!(
             "hybrid_savings[{}]: {} of {} trials analog ({:.1}% share, {:.2}x savings), \
-             wall {:.0} ms vs {:.0} ms analog ({:.2}x) -> {path}",
+             wall {:.0} ms vs {:.0} ms analog ({:.2}x) -> {OUT}",
             s.scale,
             s.analog_trials_executed,
             s.total_trials,

@@ -135,11 +135,11 @@ pub fn empirical_majx_trials(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maj::random_operands;
-    use crate::rowgroup::random_group;
+    use crate::maj::{majx_success, random_operands, MajConfig};
+    use crate::rowgroup::{random_group, sample_groups};
     use rand::SeedableRng;
     use simra_analog::CircuitParams;
-    use simra_dram::{BankId, SubarrayId, VendorProfile};
+    use simra_dram::{BankId, DataPattern, SubarrayId, VendorProfile};
 
     fn env() -> (TestSetup, GroupSpec, StdRng) {
         let setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 23);
@@ -237,6 +237,76 @@ mod tests {
         assert!(
             (analytic - empirical).abs() < 0.08,
             "analytic {analytic:.3} vs empirical {empirical:.3}"
+        );
+    }
+
+    /// MAJ3 success (random data) of each of 20 `n`-row groups — 2 banks
+    /// × 2 subarrays × 5 — on one rig whose calibrated circuit
+    /// parameters are first passed through `tweak`.
+    fn maj3_per_group(n: u32, timing: ApaTiming, tweak: fn(&mut CircuitParams)) -> Vec<f64> {
+        let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 7);
+        let mut params = CircuitParams::calibrated();
+        tweak(&mut params);
+        setup.set_circuit_params(Some(params));
+        let mut rng = StdRng::seed_from_u64(1);
+        let groups = sample_groups(setup.module().geometry(), n, 2, 2, 5, &mut rng);
+        let config = MajConfig::default();
+        let random = DataPattern::Random;
+        groups
+            .iter()
+            .map(|g| majx_success(&mut setup, g, 3, timing, random, &config, &mut rng).unwrap())
+            .collect()
+    }
+
+    fn mean(rates: &[f64]) -> f64 {
+        rates.iter().sum::<f64>() / rates.len() as f64
+    }
+
+    #[test]
+    fn design_ablations_move_maj3_success_the_designed_way() {
+        // The DESIGN.md §4b ablations: switch one calibrated mechanism
+        // off and check which way MAJ3 success moves.
+        let calibrated: fn(&mut CircuitParams) = |_| {};
+        let slow = ApaTiming::from_ns(3.0, 3.0);
+        let best = ApaTiming::best_for_majx();
+        for n in [4, 32] {
+            let at_best = maj3_per_group(n, best, calibrated);
+
+            // No first-row over-share: (3,3) recovers exactly to the
+            // (1.5,3) level, erasing the Obs. 7 timing asymmetry.
+            let at_slow = maj3_per_group(n, slow, calibrated);
+            let no_overshare = maj3_per_group(n, slow, |p| p.overshare_per_ns = 0.0);
+            assert!(
+                mean(&no_overshare) > mean(&at_slow),
+                "N={n}: over-share off {:.4} vs calibrated {:.4} at (3,3)",
+                mean(&no_overshare),
+                mean(&at_slow)
+            );
+            assert_eq!(no_overshare, at_best, "N={n}: over-share off at (3,3)");
+
+            // No transfer-variation amplification: PUD sensing gets
+            // quieter, so success rises.
+            let no_amp = maj3_per_group(n, best, |p| p.pud_transfer_amp = 0.0);
+            assert!(
+                mean(&no_amp) > mean(&at_best),
+                "N={n}: transfer-amp off {:.4} vs calibrated {:.4}",
+                mean(&no_amp),
+                mean(&at_best)
+            );
+        }
+
+        // No group-to-group spread: the per-group range narrows (checked
+        // at N=4; at N=32 every group is already near 100 %).
+        let range = |rates: &[f64]| {
+            let lo = rates.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi)
+        };
+        let (lo, hi) = range(&maj3_per_group(4, best, calibrated));
+        let (flat_lo, flat_hi) = range(&maj3_per_group(4, best, |p| p.group_spread_sigma = 0.0));
+        assert!(
+            lo < flat_lo && flat_hi < hi,
+            "group-spread off: {flat_lo:.3}..{flat_hi:.3} vs calibrated {lo:.3}..{hi:.3}"
         );
     }
 
