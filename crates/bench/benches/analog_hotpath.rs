@@ -24,9 +24,16 @@
 //! [`ApaEngine::commit_survival_sum`], which skips the chain on the
 //! exact saturation rails.
 //!
+//! The `write` section times the group write before every APA: one
+//! 32-row group written with the frozen per-cell loop (one
+//! [`BitRow::get`] per cell), with [`Subarray::write_row`] (whole image
+//! words expanded into the plane), and with [`TestSetup::init_rows`]
+//! (the same writes behind one bank/subarray lookup per group).
+//!
 //! Besides the timed bodies, every run — including `--test` smoke
 //! runs — writes `BENCH_analog.json` with direct best-of-N wall-clock
-//! numbers (columns/sec for the kernels, trials/sec for the sense rig),
+//! numbers (columns/sec for the kernels, trials/sec for the sense rig,
+//! rows/sec for the writes),
 //! so CI can archive the evidence for the ≥2× kernel / ≥3×
 //! batched-sense acceptance bars without parsing bench output.
 
@@ -36,8 +43,9 @@ use simra_analog::charge::{
 use simra_analog::sense::restore_probability;
 use simra_analog::{ApaEngine, CircuitParams, OperatingConditions, SenseBatch};
 use simra_bench::timing::{best_of_ms, Bench};
+use simra_bender::TestSetup;
 use simra_dram::subarray::VariationParams;
-use simra_dram::{ApaTiming, BitRow, Subarray};
+use simra_dram::{ApaTiming, BankId, BitRow, Subarray, SubarrayId, VendorProfile};
 
 /// Columns per row of the bench subarray — the vendor profiles'
 /// geometry (`simra_dram::VendorProfile`), so the kernels are measured
@@ -303,7 +311,76 @@ fn time_restore(subarray: &Subarray, engine: &ApaEngine, rows: &[u32]) -> Restor
     }
 }
 
-/// Work items (columns, trials) per second for a timing that covered
+/// Group writes per timed rep, per write path.
+const WRITE_INNER: usize = 256;
+
+/// The per-cell row write [`Subarray::write_row`] replaced: one
+/// [`BitRow::get`] per cell, then the stuck cells re-pinned.
+fn reference_write_row(subarray: &mut Subarray, row: u32, image: &BitRow) {
+    for (col, v) in subarray.row_voltages_mut(row).iter_mut().enumerate() {
+        *v = if image.get(col) { 1.0 } else { 0.0 };
+    }
+    subarray.pin_row_faults(row);
+}
+
+struct WriteTimes {
+    reference_ms: f64,
+    write_row_ms: f64,
+    init_rows_ms: f64,
+}
+
+/// Times `WRITE_INNER` writes of the `rows` group per path, after
+/// checking the word-wide write leaves the plane bit-identical to the
+/// reference.
+fn time_writes(subarray: &Subarray, rows: &[u32]) -> WriteTimes {
+    let image = subarray.read_row(1).expect("row 1 exists");
+    let mut reference = subarray.clone();
+    let mut word_wide = subarray.clone();
+    for &row in rows {
+        reference_write_row(&mut reference, row, &image);
+        word_wide.write_row(row, &image).expect("row and width fit");
+    }
+    assert_eq!(reference, word_wide, "write_row differs from the reference");
+
+    let reference_ms = best_of_ms(REPS, || {
+        for _ in 0..WRITE_INNER {
+            for &row in std::hint::black_box(rows) {
+                reference_write_row(&mut reference, row, std::hint::black_box(&image));
+            }
+        }
+    });
+    let write_row_ms = best_of_ms(REPS, || {
+        for _ in 0..WRITE_INNER {
+            for &row in std::hint::black_box(rows) {
+                word_wide
+                    .write_row(row, std::hint::black_box(&image))
+                    .expect("row and width fit");
+            }
+        }
+    });
+    let mut setup = TestSetup::new(VendorProfile::mfr_h_m_die(), 5);
+    assert_eq!(setup.module().geometry().cols_per_row as usize, COLS);
+    let (bank, sa) = (BankId::new(0), SubarrayId::new(0));
+    let init_rows_ms = best_of_ms(REPS, || {
+        for _ in 0..WRITE_INNER {
+            setup
+                .init_rows(
+                    bank,
+                    sa,
+                    std::hint::black_box(rows),
+                    std::hint::black_box(&image),
+                )
+                .expect("rows and width fit");
+        }
+    });
+    WriteTimes {
+        reference_ms,
+        write_row_ms,
+        init_rows_ms,
+    }
+}
+
+/// Work items (columns, trials, rows) per second for a timing that covered
 /// `count` items in `ms` milliseconds.
 fn per_sec(count: usize, ms: f64) -> f64 {
     count as f64 / (ms / 1e3)
@@ -319,6 +396,7 @@ fn write_analog_doc() {
     let kernel = time_kernels(&subarray, &engine, &rows);
     let sense = time_senses(&subarray, &engine, &rows);
     let restore = time_restore(&subarray, &engine, &rows);
+    let write = time_writes(&subarray, &rows);
 
     let single_cols = INNER * COLS;
     let batch_cols = INNER_BATCH * TRIALS * COLS;
@@ -367,9 +445,26 @@ fn write_analog_doc() {
         per_sec(restore_cells, restore.railed_ms),
         restore.reference_ms / restore.railed_ms,
     );
+    let write_rows = WRITE_INNER * ACTIVE_ROWS;
+    let write_json = format!(
+        "{{\"cols\":{COLS},\"group_rows\":{ACTIVE_ROWS},\
+         \"reference_ms\":{:.4},\"write_row_ms\":{:.4},\"init_rows_ms\":{:.4},\
+         \"reference_rows_per_sec\":{:.0},\"write_row_rows_per_sec\":{:.0},\
+         \"init_rows_rows_per_sec\":{:.0},\
+         \"write_row_speedup\":{:.3},\"init_rows_speedup\":{:.3}}}",
+        write.reference_ms,
+        write.write_row_ms,
+        write.init_rows_ms,
+        per_sec(write_rows, write.reference_ms),
+        per_sec(write_rows, write.write_row_ms),
+        per_sec(write_rows, write.init_rows_ms),
+        write.reference_ms / write.write_row_ms,
+        write.reference_ms / write.init_rows_ms,
+    );
     let doc = format!(
         "{{\"schema_version\":1,\"tool\":{},\"scale\":{},\
-         \"kernel\":{kernel_json},\"sense\":{sense_json},\"restore\":{restore_json}}}",
+         \"kernel\":{kernel_json},\"sense\":{sense_json},\"restore\":{restore_json},\
+         \"write\":{write_json}}}",
         simra_telemetry::json::quote("analog_hotpath_bench"),
         simra_telemetry::json::quote("quick"),
     );
@@ -377,7 +472,8 @@ fn write_analog_doc() {
     eprintln!(
         "analog_hotpath: kernel scalar {:.3} / tiled {:.3} / batched {:.3} ms (per {} cols); \
          sense {} trials: scalar {:.3} / tiled {:.3} / batched {:.3} ms ({:.1}x); \
-         restore: reference {:.3} / railed {:.3} ms ({:.1}x) -> {OUT}",
+         restore: reference {:.3} / railed {:.3} ms ({:.1}x); \
+         write: reference {:.3} / write_row {:.3} / init_rows {:.3} ms ({:.1}x) -> {OUT}",
         kernel.scalar_ms,
         kernel.tiled_ms,
         kernel.batched_ms,
@@ -390,6 +486,10 @@ fn write_analog_doc() {
         restore.reference_ms,
         restore.railed_ms,
         restore.reference_ms / restore.railed_ms,
+        write.reference_ms,
+        write.write_row_ms,
+        write.init_rows_ms,
+        write.reference_ms / write.write_row_ms,
     );
 }
 
@@ -464,5 +564,16 @@ fn main() {
     });
     bench.run("analog_hotpath/restore/railed_sum", || {
         engine.commit_survival_sum(&subarray, &rows, &ones, 0.875)
+    });
+    let mut written = subarray.clone();
+    bench.run("analog_hotpath/write/reference_loop", || {
+        for &row in &rows {
+            reference_write_row(&mut written, row, &ones);
+        }
+    });
+    bench.run("analog_hotpath/write/write_row", || {
+        for &row in &rows {
+            written.write_row(row, &ones).expect("row and width fit");
+        }
     });
 }

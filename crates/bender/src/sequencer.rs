@@ -2,7 +2,7 @@
 //! mounted module, through the row decoder and the analog engine.
 
 use simra_decoder::{ApaOutcome, RowDecoder};
-use simra_dram::{ApaTiming, BankId, BitRow, DramError, RowAddr, SubarrayId};
+use simra_dram::{ApaTiming, BankId, BitRow, DramError, RowAddr, Subarray, SubarrayId};
 
 use crate::setup::TestSetup;
 
@@ -115,6 +115,55 @@ impl TestSetup {
             .module_mut()
             .bank_mut(bank)?
             .write_row_nominal(row, image)?)
+    }
+
+    /// The subarray that holds the local rows `locals`, resolved once for
+    /// a group-wide step, after every row has been checked.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`init_row`](Self::init_row) returns for the rows'
+    /// bank-level addresses: a bad bank, or a row outside `subarray`
+    /// (reported as [`DramError::RowOutOfRange`] at its bank-level
+    /// address).
+    pub fn group_subarray(
+        &mut self,
+        bank: BankId,
+        subarray: SubarrayId,
+        locals: &[u32],
+    ) -> Result<&mut Subarray, SequencerError> {
+        let geometry = *self.module().geometry();
+        let bank = self.module_mut().bank_mut(bank)?;
+        let rows_in_bank = geometry.rows_per_bank();
+        let first = u32::from(subarray.raw()).saturating_mul(geometry.rows_per_subarray);
+        for &local in locals {
+            let row = RowAddr::new(first.saturating_add(local));
+            if local >= geometry.rows_per_subarray || row.raw() >= rows_in_bank {
+                return Err(DramError::RowOutOfRange { row, rows_in_bank }.into());
+            }
+        }
+        Ok(bank.subarray(subarray))
+    }
+
+    /// Initialises the local rows `locals` of one subarray with the same
+    /// image (nominal timings): the group write before an APA.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`group_subarray`](Self::group_subarray), checked before
+    /// any row is written, and a wrong image width.
+    pub fn init_rows(
+        &mut self,
+        bank: BankId,
+        subarray: SubarrayId,
+        locals: &[u32],
+        image: &BitRow,
+    ) -> Result<(), SequencerError> {
+        let sa = self.group_subarray(bank, subarray, locals)?;
+        for &local in locals {
+            sa.write_row(local, image)?;
+        }
+        Ok(())
     }
 
     /// Reads a row back with nominal timings (test read-out step).
@@ -348,5 +397,122 @@ mod tests {
             frac < 0.95,
             "grid-minimum timing should visibly fail: {frac}"
         );
+    }
+
+    /// A row image of the module's width: all-0, all-1 or random.
+    fn image(kind: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> BitRow {
+        match kind {
+            0 => BitRow::zeros(cols),
+            1 => BitRow::ones(cols),
+            _ => BitRow::random(rng, cols),
+        }
+    }
+
+    #[test]
+    fn init_rows_writes_like_init_row_and_keeps_stuck_cells_pinned() {
+        use rand::Rng;
+        use simra_dram::CellFaultSpec;
+        let mut pinned = 0;
+        simra_cases::check("init_rows_matches_init_row", 8, |rng| {
+            for faulted in [false, true] {
+                let mut group = setup();
+                if faulted {
+                    group.module_mut().set_fault_spec(Some(CellFaultSpec {
+                        seed: rng.gen(),
+                        stuck_per_million: 20_000.0,
+                        ..CellFaultSpec::default()
+                    }));
+                }
+                let mut per_row = group.clone();
+                let geometry = *group.module().geometry();
+                let bank = BankId::new(rng.gen_range(0..u32::from(geometry.banks)) as u16);
+                let subarray = SubarrayId::new(
+                    rng.gen_range(0..u32::from(geometry.subarrays_per_bank)) as u16,
+                );
+                let mut locals: Vec<u32> = (0..rng.gen_range(1..33u32))
+                    .map(|_| rng.gen_range(0..geometry.rows_per_subarray))
+                    .collect();
+                locals.sort_unstable();
+                locals.dedup();
+                let img = image(rng.gen_range(0..3), geometry.cols_per_row as usize, rng);
+
+                group.init_rows(bank, subarray, &locals, &img).unwrap();
+                for &local in &locals {
+                    per_row
+                        .init_row(bank, geometry.join_row(subarray, local), &img)
+                        .unwrap();
+                }
+                assert_eq!(group.module(), per_row.module(), "faulted {faulted}");
+
+                let sa = group
+                    .module_mut()
+                    .bank_mut(bank)
+                    .unwrap()
+                    .subarray(subarray);
+                for &local in &locals {
+                    let stuck = sa.faults().map_or(&[][..], |f| f.stuck_in_row(local));
+                    let voltages = sa.row_voltages(local);
+                    for &(col, bit) in stuck {
+                        assert_eq!(voltages[col as usize], if bit { 1.0 } else { 0.0 });
+                        pinned += 1;
+                    }
+                }
+            }
+        });
+        assert!(pinned > 0, "the faulted cases must write over stuck cells");
+    }
+
+    #[test]
+    fn init_rows_returns_init_row_errors() {
+        let s = setup();
+        let geometry = *s.module().geometry();
+        let cols = geometry.cols_per_row as usize;
+        let last = SubarrayId::new(geometry.subarrays_per_bank - 1);
+        let past = SubarrayId::new(geometry.subarrays_per_bank);
+        let cases = [
+            // A local row past the last subarray's end.
+            (BankId::new(0), last, geometry.rows_per_subarray, cols),
+            // A subarray past the bank's end.
+            (BankId::new(0), past, 0, cols),
+            // A bank past the module's end.
+            (BankId::new(geometry.banks), last, 0, cols),
+            // Images one bit too narrow and too wide.
+            (BankId::new(0), last, 3, cols - 1),
+            (BankId::new(0), last, 3, cols + 1),
+        ];
+        for (bank, subarray, local, width) in cases {
+            let img = BitRow::zeros(width);
+            let mut group = s.clone();
+            let mut single = s.clone();
+            let group_err = group.init_rows(bank, subarray, &[0, local], &img);
+            let row_err = single.init_row(bank, geometry.join_row(subarray, local), &img);
+            assert!(group_err.is_err(), "{bank:?} {subarray:?} {local} {width}");
+            assert_eq!(group_err, row_err, "{bank:?} {subarray:?} {local} {width}");
+        }
+        // A local row past its own subarray is out of range even where
+        // its bank-level address lies in the next subarray.
+        let err = s
+            .clone()
+            .init_rows(
+                BankId::new(0),
+                SubarrayId::new(0),
+                &[geometry.rows_per_subarray],
+                &BitRow::zeros(cols),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SequencerError::Dram(DramError::RowOutOfRange {
+                row: RowAddr::new(geometry.rows_per_subarray),
+                rows_in_bank: geometry.rows_per_bank(),
+            })
+        );
+        // Rows are checked before any is written.
+        let mut group = s.clone();
+        let bad = geometry.rows_per_subarray;
+        group
+            .init_rows(BankId::new(0), last, &[0, bad], &BitRow::ones(cols))
+            .unwrap_err();
+        assert_eq!(group.module(), s.module());
     }
 }

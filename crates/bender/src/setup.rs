@@ -147,15 +147,19 @@ impl TestSetup {
         };
     }
 
+    /// The circuit parameters in force: the override if one is set,
+    /// else the calibrated defaults.
+    pub fn params(&self) -> CircuitParams {
+        self.params_override
+            .unwrap_or_else(CircuitParams::calibrated)
+    }
+
     /// An analog engine bound to the mounted module's vendor quirks and
     /// the rig's current operating point, reporting to the rig's
     /// counter handles.
     pub fn engine(&self) -> ApaEngine {
-        let params = self
-            .params_override
-            .unwrap_or_else(CircuitParams::calibrated);
         ApaEngine::with_counters(
-            params,
+            self.params(),
             self.conditions,
             self.module.profile().biased_sense_amps,
             self.engine_counters.clone(),
@@ -210,8 +214,10 @@ mod tests {
         p.overshare_per_ns = 0.0;
         s.set_circuit_params(Some(p));
         assert_eq!(s.engine().params().overshare_per_ns, 0.0);
+        assert_eq!(s.params(), p);
         s.set_circuit_params(None);
         assert!(s.engine().params().overshare_per_ns > 0.0);
+        assert_eq!(s.params(), CircuitParams::calibrated());
     }
 
     #[test]

@@ -29,15 +29,11 @@ pub fn activation_success(
     pattern: DataPattern,
     rng: &mut StdRng,
 ) -> Result<f64, PudError> {
-    let geometry = *setup.module().geometry();
-    let cols = geometry.cols_per_row as usize;
+    let cols = setup.module().geometry().cols_per_row as usize;
 
     // Step 1: initialise the group's rows with the predefined pattern.
     let init = pattern.row_image(0, cols, rng);
-    for &local in &group.local_rows {
-        let row = geometry.join_row(group.subarray, local);
-        setup.init_row(group.bank, row, &init)?;
-    }
+    setup.init_rows(group.bank, group.subarray, &group.local_rows, &init)?;
 
     // Step 2: resolve the APA structurally.
     let (sa, outcome) = setup.resolve_apa(group.bank, group.r_f, group.r_s, timing)?;

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use simra_bender::TestSetup;
-use simra_dram::{BankId, BitRow, RowAddr};
+use simra_dram::{BankId, BitRow, RowAddr, SubarrayId};
 
 use crate::error::PudError;
 
@@ -48,24 +48,38 @@ pub fn frac_row(
     row: RowAddr,
     rng: &mut StdRng,
 ) -> Result<(), PudError> {
+    let (subarray, local) = setup.module().geometry().split_row(row)?;
+    frac_rows(setup, bank, subarray, &[local], rng)
+}
+
+/// Fracs the local rows `locals` of one subarray, in order, drawing one
+/// residual per cell.
+fn frac_rows(
+    setup: &mut TestSetup,
+    bank: BankId,
+    subarray: SubarrayId,
+    locals: &[u32],
+    rng: &mut StdRng,
+) -> Result<(), PudError> {
     if !setup.module().profile().supports_frac {
         return Err(PudError::UnexpectedActivation {
             expected: "a Frac-capable part (Mfr. H)".into(),
             got: format!("{}", setup.module().profile().manufacturer),
         });
     }
-    let sigma = setup.engine().params().frac_residual_sigma;
-    let geometry = *setup.module().geometry();
-    let (sa_id, local) = geometry.split_row(row)?;
-    let sa = setup.module_mut().bank_mut(bank)?.subarray(sa_id);
-    for col in 0..sa.cols() {
-        let residual = gaussian(rng) * sigma;
-        sa.set_cell_voltage(local, col, 0.5 + residual as f32);
+    let sigma = setup.params().frac_residual_sigma;
+    let sa = setup.group_subarray(bank, subarray, locals)?;
+    for &local in locals {
+        for v in sa.row_voltages_mut(local) {
+            let residual = gaussian(rng) * sigma;
+            *v = (0.5 + residual as f32).clamp(0.0, 1.0);
+        }
     }
     Ok(())
 }
 
-/// Initialises `rows` as neutral rows according to `plan`.
+/// Initialises the local rows `locals` of one subarray as neutral rows
+/// according to `plan`.
 ///
 /// # Errors
 ///
@@ -73,29 +87,23 @@ pub fn frac_row(
 pub fn init_neutral_rows(
     setup: &mut TestSetup,
     bank: BankId,
-    rows: &[RowAddr],
+    subarray: SubarrayId,
+    locals: &[u32],
     plan: NeutralPlan,
     rng: &mut StdRng,
 ) -> Result<(), PudError> {
     match plan {
-        NeutralPlan::Frac => {
-            for &row in rows {
-                frac_row(setup, bank, row, rng)?;
-            }
-        }
+        NeutralPlan::Frac => frac_rows(setup, bank, subarray, locals, rng),
         NeutralPlan::ComplementPairs => {
+            // Even positions all-0, odd positions all-1.
             let cols = setup.module().geometry().cols_per_row as usize;
-            for (i, &row) in rows.iter().enumerate() {
-                let img = if i % 2 == 0 {
-                    BitRow::zeros(cols)
-                } else {
-                    BitRow::ones(cols)
-                };
-                setup.init_row(bank, row, &img)?;
-            }
+            let evens: Vec<u32> = locals.iter().copied().step_by(2).collect();
+            let odds: Vec<u32> = locals.iter().copied().skip(1).step_by(2).collect();
+            setup.init_rows(bank, subarray, &evens, &BitRow::zeros(cols))?;
+            setup.init_rows(bank, subarray, &odds, &BitRow::ones(cols))?;
+            Ok(())
         }
     }
-    Ok(())
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -156,15 +164,16 @@ mod tests {
         let mut setup = TestSetup::new(VendorProfile::mfr_m_e_die(), 1);
         let mut rng = StdRng::seed_from_u64(0);
         let bank = BankId::new(0);
-        let rows = [RowAddr::new(0), RowAddr::new(1), RowAddr::new(2)];
         init_neutral_rows(
             &mut setup,
             bank,
-            &rows,
+            SubarrayId::new(0),
+            &[0, 1, 2],
             NeutralPlan::ComplementPairs,
             &mut rng,
         )
         .unwrap();
+        let rows = [RowAddr::new(0), RowAddr::new(1), RowAddr::new(2)];
         let cols = setup.module().geometry().cols_per_row as usize;
         assert_eq!(setup.read_row(bank, rows[0]).unwrap().count_ones(), 0);
         assert_eq!(setup.read_row(bank, rows[1]).unwrap().count_ones(), cols);

@@ -92,31 +92,27 @@ impl Default for MajConfig {
     }
 }
 
-fn write_layout(
+/// Writes each operand into its replica rows, then initialises the
+/// neutral rows the way the mounted part supports.
+pub(crate) fn write_layout(
     setup: &mut TestSetup,
     group: &GroupSpec,
     layout: &MajLayout,
     operands: &[BitRow],
     rng: &mut StdRng,
 ) -> Result<(), PudError> {
-    let geometry = *setup.module().geometry();
-    for (i, rows) in layout.operand_rows.iter().enumerate() {
-        for &local in rows {
-            setup.init_row(
-                group.bank,
-                geometry.join_row(group.subarray, local),
-                &operands[i],
-            )?;
-        }
+    for (rows, operand) in layout.operand_rows.iter().zip(operands) {
+        setup.init_rows(group.bank, group.subarray, rows, operand)?;
     }
-    let neutral: Vec<_> = layout
-        .neutral_rows
-        .iter()
-        .map(|&local| geometry.join_row(group.subarray, local))
-        .collect();
     let plan = neutral_plan(setup);
-    init_neutral_rows(setup, group.bank, &neutral, plan, rng)?;
-    Ok(())
+    init_neutral_rows(
+        setup,
+        group.bank,
+        group.subarray,
+        &layout.neutral_rows,
+        plan,
+        rng,
+    )
 }
 
 fn expect_simultaneous(

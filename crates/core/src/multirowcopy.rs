@@ -96,10 +96,12 @@ pub fn multirowcopy_success(
 
     // Initialise source and destinations per the methodology.
     setup.init_row(group.bank, group.r_f, source_image)?;
-    let anti = source_image.complement();
-    for &d in &destinations {
-        setup.init_row(group.bank, geometry.join_row(group.subarray, d), &anti)?;
-    }
+    setup.init_rows(
+        group.bank,
+        group.subarray,
+        &destinations,
+        &source_image.complement(),
+    )?;
 
     let engine = setup.engine();
     let latch_q = engine.params().mrc_latch_quality(timing.t1.as_ns());

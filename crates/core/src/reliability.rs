@@ -94,22 +94,7 @@ pub fn empirical_majx_trials(
     // Write the layout once; sensing does not disturb the stored charge
     // in this mode (we re-sense the same state per trial, as the tester
     // re-initialises between trials).
-    for (i, rows) in layout.operand_rows.iter().enumerate() {
-        for &local in rows {
-            setup.init_row(
-                group.bank,
-                geometry.join_row(group.subarray, local),
-                &operands[i],
-            )?;
-        }
-    }
-    let plan = crate::frac::neutral_plan(setup);
-    let neutral: Vec<_> = layout
-        .neutral_rows
-        .iter()
-        .map(|&l| geometry.join_row(group.subarray, l))
-        .collect();
-    crate::frac::init_neutral_rows(setup, group.bank, &neutral, plan, rng)?;
+    crate::maj::write_layout(setup, group, &layout, operands, rng)?;
 
     let rows = group.local_rows.clone();
     // The stored charge state is identical for every trial, so the whole

@@ -47,16 +47,10 @@ fn prepare_balanced(setup: &mut TestSetup, group: &GroupSpec) -> Result<Vec<u32>
             required: 2,
         });
     }
-    let geometry = *setup.module().geometry();
-    let cols = geometry.cols_per_row as usize;
-    for (i, &local) in rows.iter().enumerate() {
-        let img = if i < rows.len() / 2 {
-            BitRow::ones(cols)
-        } else {
-            BitRow::zeros(cols)
-        };
-        setup.init_row(group.bank, geometry.join_row(group.subarray, local), &img)?;
-    }
+    let cols = setup.module().geometry().cols_per_row as usize;
+    let (ones, zeros) = rows.split_at(rows.len() / 2);
+    setup.init_rows(group.bank, group.subarray, ones, &BitRow::ones(cols))?;
+    setup.init_rows(group.bank, group.subarray, zeros, &BitRow::zeros(cols))?;
     Ok(rows)
 }
 

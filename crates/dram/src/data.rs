@@ -92,6 +92,12 @@ impl BitRow {
         self.len == 0
     }
 
+    /// The packed image: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits past [`len`](Self::len) in the last word are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Bit at position `i`.
     ///
     /// # Panics

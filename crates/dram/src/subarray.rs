@@ -372,8 +372,15 @@ impl Subarray {
             });
         }
         let range = self.row_range(row);
-        for (col, v) in self.voltage[range].iter_mut().enumerate() {
-            *v = if image.get(col) { 1.0 } else { 0.0 };
+        // Each bit becomes an exact 1.0 / 0.0 rail, 32 cells per half-word.
+        let halves = image
+            .words()
+            .iter()
+            .flat_map(|&w| [w as u32, (w >> 32) as u32]);
+        for (cells, half) in self.voltage[range].chunks_mut(32).zip(halves) {
+            for (v, &mask) in cells.iter_mut().zip(&BIT_MASKS) {
+                *v = u8::from(half & mask != 0) as f32;
+            }
         }
         // Stuck cells ignore even a nominal-timing write.
         self.pin_row_faults(row);
@@ -416,6 +423,19 @@ impl Subarray {
         Ok(())
     }
 }
+
+/// `BIT_MASKS[i]` selects bit `i` of a half-word. Testing a bit against a
+/// mask compiles to one vector AND + compare per four cells on baseline
+/// x86-64, where a per-lane variable shift has no SSE2 instruction.
+const BIT_MASKS: [u32; 32] = {
+    let mut masks = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        masks[i] = 1 << i;
+        i += 1;
+    }
+    masks
+};
 
 #[cfg(test)]
 mod tests {

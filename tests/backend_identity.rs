@@ -16,7 +16,7 @@ use rand::Rng;
 use simra::bender::TestSetup;
 use simra::characterize::{
     sweep_trial_samples, trial_point, ExperimentConfig, FleetOutcome, Session, SweepPlan,
-    SweepPoint,
+    SweepPoint, TrialPoint,
 };
 use simra::dram::{ApaTiming, BitRow, DataPattern, Manufacturer};
 use simra::exec::{AnalogBackend, BackendChoice, MrcSource, PudBackend, TrialSpec};
@@ -162,15 +162,83 @@ fn config() -> ExperimentConfig {
     config
 }
 
-#[test]
-fn activation_sweep_is_byte_identical_through_the_trait() {
-    let config = config();
-    let grid: Vec<(u32, ApaTiming, Option<f64>, Option<f64>)> = vec![
+/// Activation grid: `(N, timing, temperature, V_PP)` per point.
+type ActGrid = Vec<(u32, ApaTiming, Option<f64>, Option<f64>)>;
+
+fn activation_grid() -> ActGrid {
+    vec![
         (2, ApaTiming::from_ns(1.5, 1.5), None, None),
         (8, ApaTiming::from_ns(3.0, 3.0), None, None),
         (32, ApaTiming::best_for_activation(), Some(90.0), None),
         (16, ApaTiming::best_for_activation(), None, Some(2.1)),
-    ];
+    ]
+}
+
+fn activation_trait_points(
+    config: &ExperimentConfig,
+    grid: &ActGrid,
+) -> Vec<SweepPoint<TrialPoint>> {
+    grid.iter()
+        .map(|&(n, timing, t, v)| {
+            let mut spec = TrialSpec::activation(timing);
+            if let Some(t) = t {
+                spec = spec.at_temperature(t);
+            }
+            if let Some(v) = v {
+                spec = spec.at_vpp(v);
+            }
+            trial_point(config, n, spec)
+        })
+        .collect()
+}
+
+/// MAJX grid: `(N, X, pattern)` per point. MAJ9 probes the Mfr-M guard;
+/// it must refuse *before* consuming any stream so later points replay
+/// identically.
+fn majx_grid() -> Vec<(u32, usize, DataPattern)> {
+    vec![
+        (32, 3, DataPattern::Random),
+        (32, 5, DataPattern::Solid),
+        (16, 9, DataPattern::Random),
+        (32, 7, DataPattern::Checkered),
+    ]
+}
+
+fn majx_trait_points(
+    config: &ExperimentConfig,
+    grid: &[(u32, usize, DataPattern)],
+) -> Vec<SweepPoint<TrialPoint>> {
+    grid.iter()
+        .map(|&(n, x, pattern)| {
+            trial_point(
+                config,
+                n,
+                TrialSpec::majx(x, ApaTiming::best_for_majx(), pattern),
+            )
+        })
+        .collect()
+}
+
+fn mrc_trait_points(config: &ExperimentConfig) -> Vec<SweepPoint<TrialPoint>> {
+    let timing = ApaTiming::best_for_multi_row_copy();
+    vec![
+        trial_point(
+            config,
+            8,
+            TrialSpec::multirowcopy(timing, MrcSource::RandomBits),
+        ),
+        trial_point(
+            config,
+            32,
+            TrialSpec::multirowcopy(timing, MrcSource::AllOnes).at_temperature(70.0),
+        ),
+    ]
+}
+
+#[test]
+fn activation_sweep_is_byte_identical_through_the_trait() {
+    let config = config();
+    let grid = activation_grid();
     let legacy_points: Vec<SweepPoint<LegacyActPoint>> = grid
         .iter()
         .map(|&(n, timing, temperature_c, vpp_v)| {
@@ -184,19 +252,7 @@ fn activation_sweep_is_byte_identical_through_the_trait() {
             )
         })
         .collect();
-    let trait_points: Vec<_> = grid
-        .iter()
-        .map(|&(n, timing, t, v)| {
-            let mut spec = TrialSpec::activation(timing);
-            if let Some(t) = t {
-                spec = spec.at_temperature(t);
-            }
-            if let Some(v) = v {
-                spec = spec.at_vpp(v);
-            }
-            trial_point(&config, n, spec)
-        })
-        .collect();
+    let trait_points = activation_trait_points(&config, &grid);
     let session = Session::new(config.clone());
     let legacy = sweep_samples(&session, &legacy_points, legacy_activation_op);
     let dispatched = sweep_trial_samples(&session, &trait_points);
@@ -206,14 +262,7 @@ fn activation_sweep_is_byte_identical_through_the_trait() {
 #[test]
 fn majx_sweep_is_byte_identical_through_the_trait() {
     let config = config();
-    // MAJ9 probes the Mfr-M guard; it must refuse *before* consuming
-    // any stream so later points replay identically.
-    let grid: Vec<(u32, usize, DataPattern)> = vec![
-        (32, 3, DataPattern::Random),
-        (32, 5, DataPattern::Solid),
-        (16, 9, DataPattern::Random),
-        (32, 7, DataPattern::Checkered),
-    ];
+    let grid = majx_grid();
     let legacy_points: Vec<SweepPoint<LegacyMajPoint>> = grid
         .iter()
         .map(|&(n, x, pattern)| {
@@ -229,16 +278,7 @@ fn majx_sweep_is_byte_identical_through_the_trait() {
             )
         })
         .collect();
-    let trait_points: Vec<_> = grid
-        .iter()
-        .map(|&(n, x, pattern)| {
-            trial_point(
-                &config,
-                n,
-                TrialSpec::majx(x, ApaTiming::best_for_majx(), pattern),
-            )
-        })
-        .collect();
+    let trait_points = majx_trait_points(&config, &grid);
     let session = Session::new(config.clone());
     let legacy = sweep_samples(&session, &legacy_points, legacy_majx_op);
     let dispatched = sweep_trial_samples(&session, &trait_points);
@@ -269,22 +309,54 @@ fn mrc_sweep_is_byte_identical_through_the_trait() {
             },
         ),
     ];
-    let trait_points = vec![
-        trial_point(
-            &config,
-            8,
-            TrialSpec::multirowcopy(timing, MrcSource::RandomBits),
-        ),
-        trial_point(
-            &config,
-            32,
-            TrialSpec::multirowcopy(timing, MrcSource::AllOnes).at_temperature(70.0),
-        ),
-    ];
+    let trait_points = mrc_trait_points(&config);
     let session = Session::new(config.clone());
     let legacy = sweep_samples(&session, &legacy_points, legacy_mrc_op);
     let dispatched = sweep_trial_samples(&session, &trait_points);
     assert_eq!(bits(&legacy), bits(&dispatched));
+}
+
+/// FNV-1a over the `to_bits` of every sample, point by point.
+fn fnv1a(samples: &[Vec<f64>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for row in samples {
+        for byte in row.iter().flat_map(|s| s.to_bits().to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        // Separate points so moving a sample across them changes the hash.
+        h ^= 0xff;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The identity tests above compare the trait path against closures that
+/// call the same `activation_success` / `majx_success` /
+/// `multirowcopy_success`, so drift *inside* those ops passes them. This
+/// pins the samples themselves: the hashes were recorded before the ops'
+/// row writes went word-wide, and any change to a sample bit fails here.
+/// The MAJX grid runs on both a Frac part (Mfr. H) and a complement-pair
+/// part (Mfr. M).
+#[test]
+fn trait_path_samples_match_their_recorded_hashes() {
+    let config = config();
+    let session = Session::new(config.clone());
+    let act = sweep_trial_samples(
+        &session,
+        &activation_trait_points(&config, &activation_grid()),
+    );
+    let majx = sweep_trial_samples(&session, &majx_trait_points(&config, &majx_grid()));
+    let mrc = sweep_trial_samples(&session, &mrc_trait_points(&config));
+    assert_eq!(
+        [fnv1a(&act), fnv1a(&majx), fnv1a(&mrc)],
+        [
+            0x9855_6af0_ea01_0a1f,
+            0x0c6a_d356_f55c_1517,
+            0xadca_430a_2724_1501
+        ],
+        "activation / MAJX / MRC sample hashes"
+    );
 }
 
 #[test]
